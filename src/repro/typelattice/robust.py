@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro.typelattice.instances import TypeInstance
-from repro.typelattice.lattice import Lattice
+from repro.typelattice.lattice import Lattice, bits
 
 
 class TestResult(enum.Enum):
@@ -126,89 +126,83 @@ def compute_robust_type(
         sizes = {o.fundamental.param for o in obs if o.fundamental.param is not None}
         lattice = Lattice.for_sizes(sizes or {0})
 
-    anchor_results = {TestResult.SUCCESS}
+    returned = {o.fundamental for o in obs if o.result is not TestResult.FAILURE}
+    failures = {o.fundamental for o in obs if o.result is TestResult.FAILURE}
     if conservative:
-        anchor_results.add(TestResult.ERROR)
-    successes = {o.fundamental for o in obs if o.result in anchor_results}
+        successes = returned
+    else:
+        successes = {o.fundamental for o in obs if o.result is TestResult.SUCCESS}
     if not successes:
         # Every single test either crashed or was gracefully rejected.
         # Anchoring on the empty set would let the computation pick an
         # absurdly strong type (reject everything); fall back to the
         # conservative anchor so values the function merely rejects
         # stay allowed.
-        successes = {o.fundamental for o in obs if o.result is not TestResult.FAILURE}
-    failures = {o.fundamental for o in obs if o.result is TestResult.FAILURE}
-    observed = {o.fundamental for o in obs}
+        successes = returned
 
-    feasible = [
-        t
-        for t in lattice.instances
-        if all(lattice.is_subtype(s, t) for s in successes)
-    ]
+    # A success outside the lattice has no supertype in it.
+    feasible = lattice.full
+    for s in successes:
+        i = lattice.index.get(s)
+        feasible &= 0 if i is None else lattice.up[i]
     if not feasible:
         raise ValueError(
             "lattice has no common supertype for the observed successes; "
             "the top type is missing from the instance set"
         )
 
-    ideal = _select(lattice, feasible, failures, observed)
+    fail = lattice.mask(failures)
+    good = lattice.mask(returned - failures)
+    ideal = _select(lattice, feasible, fail, good)
+    robust = ideal
     if checkable is not None:
-        enforceable = [t for t in feasible if checkable(t)]
-        robust = _select(lattice, enforceable, failures, observed) if enforceable else ideal
-    else:
-        robust = ideal
+        enforceable = 0
+        for i in bits(feasible):
+            if checkable(lattice.instances[i]):
+                enforceable |= 1 << i
+        if enforceable:
+            robust = _select(lattice, enforceable, fail, good)
 
-    crash_count = _crash_count(lattice, robust, failures)
-    safe = _is_safe(lattice, ideal, obs)
+    inside = lattice.down[lattice.index[ideal]]
+    nonfail = lattice.mask(returned)
+    # The paper's safe-argument-type test: no contained test case
+    # crashed, and every excluded one did.  A returning fundamental
+    # outside the lattice lies outside every type.
+    safe = (
+        nonfail.bit_count() == len(returned)
+        and not fail & inside
+        and not nonfail & ~inside
+    )
     return RobustType(
         robust=robust,
         ideal=ideal,
         safe=safe,
-        crash_free=crash_count == 0,
+        crash_free=not fail & lattice.down[lattice.index[robust]],
         successes=frozenset(successes),
         failures=frozenset(failures),
     )
 
 
-def _crash_count(
-    lattice: Lattice, candidate: TypeInstance, failures: set[TypeInstance]
-) -> int:
-    return sum(1 for f in failures if lattice.is_subtype(f, candidate))
-
-
-def _select(
-    lattice: Lattice,
-    candidates: list[TypeInstance],
-    failures: set[TypeInstance],
-    observed: set[TypeInstance],
-) -> TypeInstance:
-    """Pick the robust type from feasible candidates (see module doc)."""
-    best_crashes = min(_crash_count(lattice, t, failures) for t in candidates)
-    leanest = [
-        t for t in candidates if _crash_count(lattice, t, failures) == best_crashes
-    ]
-    weakest = lattice.weakest(leanest)
+def _select(lattice: Lattice, candidates: int, fail: int, good: int) -> TypeInstance:
+    """Pick the robust type from the feasible ``candidates`` mask (see
+    module doc).  ``fail`` masks the crashing fundamentals, ``good``
+    the observed fundamentals that never crashed."""
+    down = lattice.down
+    crashes = {i: (fail & down[i]).bit_count() for i in bits(candidates)}
+    best_crashes = min(crashes.values())
+    leanest = 0
+    for i, count in crashes.items():
+        if count == best_crashes:
+            leanest |= 1 << i
+    # Weakest: no strict supertype among the leanest candidates.
+    weakest = [i for i in bits(leanest) if lattice.up[i] & leanest == 1 << i]
     if len(weakest) == 1:
-        return weakest[0]
+        return lattice.instances[weakest[0]]
     # Tie-break: prefer the candidate covering more of the observed
     # non-crashing fundamentals (it rejects fewer legitimate values),
     # then the deterministic rendered name.
-    def coverage(t: TypeInstance) -> int:
-        return sum(1 for f in observed - failures if lattice.is_subtype(f, t))
-
-    weakest.sort(key=lambda t: (-coverage(t), t.render()))
-    return weakest[0]
-
-
-def _is_safe(
-    lattice: Lattice, candidate: TypeInstance, obs: list[Observation]
-) -> bool:
-    """The paper's safe-argument-type test: no contained test case
-    crashed, and every excluded test case crashed."""
-    for o in obs:
-        inside = lattice.is_subtype(o.fundamental, candidate)
-        if inside and o.result is TestResult.FAILURE:
-            return False
-        if not inside and o.result is not TestResult.FAILURE:
-            return False
-    return True
+    best = min(
+        weakest,
+        key=lambda i: (-(good & down[i]).bit_count(), lattice.instances[i].render()),
+    )
+    return lattice.instances[best]
