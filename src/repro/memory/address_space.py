@@ -77,7 +77,8 @@ class AddressSpace:
         #: count of access *calls*, exposed for the performance benches
         self.access_count = 0
         #: bytes moved, so benches compare real work, not call counts
-        #: (a bulk load of 4 KiB is one call but 4096 bytes).
+        #: (a bulk load of 4 KiB is one call but 4096 bytes).  Counted
+        #: after the transfer: a faulting access moves nothing.
         self.bytes_read = 0
         self.bytes_written = 0
 
@@ -197,44 +198,46 @@ class AddressSpace:
     def load(self, address: int, count: int) -> bytes:
         """Read ``count`` bytes, faulting on the first invalid byte."""
         self.access_count += 1
-        self.bytes_read += count
         if count == 0:
             return b""
         region = self._locate(address, count, AccessKind.READ)
-        return region.read(address, count)
+        payload = region.read(address, count)
+        self.bytes_read += count
+        return payload
 
     def store(self, address: int, payload: bytes) -> None:
         """Write ``payload``, faulting on the first invalid byte."""
         self.access_count += 1
-        self.bytes_written += len(payload)
         if not payload:
             return
         region = self._locate(address, len(payload), AccessKind.WRITE)
         region.write(address, payload)
+        self.bytes_written += len(payload)
 
     def load_byte(self, address: int) -> int:
         """One-byte load returning an ``int`` — no ``bytes`` object is
         allocated.  Identical semantics to ``load(address, 1)[0]``;
         this is the shape every per-byte libc model loop uses."""
         self.access_count += 1
-        self.bytes_read += 1
         if address == NULL:
             raise SegmentationFault(address, AccessKind.READ, "NULL dereference")
         region = self.region_at(address)
         if region is None:
             raise SegmentationFault(address, AccessKind.READ, "unmapped address")
-        return region.read_byte_at(address)
+        value = region.read_byte_at(address)
+        self.bytes_read += 1
+        return value
 
     def store_byte(self, address: int, value: int) -> None:
         """One-byte store twin of :meth:`load_byte`."""
         self.access_count += 1
-        self.bytes_written += 1
         if address == NULL:
             raise SegmentationFault(address, AccessKind.WRITE, "NULL dereference")
         region = self.region_at(address)
         if region is None:
             raise SegmentationFault(address, AccessKind.WRITE, "unmapped address")
         region.write_byte_at(address, value)
+        self.bytes_written += 1
 
     def is_accessible(self, address: int, count: int, access: AccessKind) -> bool:
         """Non-faulting accessibility probe of a whole range.

@@ -118,6 +118,43 @@ class TestAccessChecks:
         assert not space.is_readable(NULL, 1)
 
 
+class TestByteCounters:
+    """``bytes_read``/``bytes_written`` count bytes actually moved: a
+    faulting access transfers nothing and so counts nothing."""
+
+    def test_faulting_load_counts_nothing(self, space):
+        with pytest.raises(SegmentationFault):
+            space.load(NULL, 10**12)
+        with pytest.raises(SegmentationFault):
+            space.load(0xDEAD0000, 64)
+        with pytest.raises(SegmentationFault):
+            space.load_byte(NULL)
+        region = space.map_region(10)
+        with pytest.raises(SegmentationFault):
+            space.load(region.base + 8, 8)  # runs past the region
+        assert space.bytes_read == 0
+
+    def test_faulting_store_counts_nothing(self, space):
+        with pytest.raises(SegmentationFault):
+            space.store(0xDEAD0000, b"x" * 4096)
+        with pytest.raises(SegmentationFault):
+            space.store_byte(NULL, 1)
+        region = space.map_region(10, Protection.READ)
+        with pytest.raises(SegmentationFault):
+            space.store(region.base, b"xy")
+        assert space.bytes_written == 0
+
+    def test_good_accesses_count_exactly_their_length(self, space):
+        region = space.map_region(16)
+        space.store(region.base, b"abcdefgh")
+        space.store_byte(region.base + 8, 1)
+        assert space.bytes_written == 9
+        space.load(region.base, 5)
+        space.load_byte(region.base)
+        space.load(region.base, 0)
+        assert space.bytes_read == 6
+
+
 class TestTypedAccess:
     def test_u32_round_trip(self, space):
         region = space.map_region(16)
