@@ -5,7 +5,8 @@ Three experiments, archived in ``BENCH_sampling.json``:
 1. **Calls saved** — the full 86-function catalog runs once
    exhaustively and once under the default adaptive policy
    (``confidence=0.99``); the sampled sweep must inject at least
-   :data:`MIN_CALLS_SAVED` times fewer vectors.
+   :data:`MIN_CALLS_SAVED` times fewer vectors, and take less
+   wall-clock time than the exhaustive sweep.
 2. **Equivalence** — the sampled sweep's robust types (and therefore
    its declarations) are asserted identical to the exhaustive sweep's
    for every function: divergences are a hard failure, not a metric.
@@ -134,4 +135,10 @@ def test_sampling_bench(tmp_path):
         f"sampling saved only {calls_saved:.2f}x vectors "
         f"({ex_vectors} exhaustive vs {sa_vectors} sampled); bar is "
         f"{MIN_CALLS_SAVED:.1f}x"
+    )
+    # Fewer vectors are only a proxy: the sampled sweep must also win
+    # on wall-clock, robust-type recomputation at check boundaries
+    # included.
+    assert sa_seconds < ex_seconds, (
+        f"sampled sweep took {sa_seconds:.2f}s, exhaustive {ex_seconds:.2f}s"
     )

@@ -3,7 +3,8 @@
 Encodes the edges of the paper's Figure 3 and Figure 4 hierarchies (and
 our additional families) as parameter-aware rules.  ``is_direct_subtype``
 tests a single edge; the full partial order is the reflexive-transitive
-closure computed by :class:`repro.typelattice.lattice.Lattice`.
+closure that :class:`repro.typelattice.lattice.Lattice` stores as int
+bitmasks.
 
 Size parameter convention (paper Figure 3): ``R_ARRAY[t]`` requires *at
 least* ``t`` readable bytes, so a larger requirement is a *stronger*
