@@ -7,8 +7,9 @@ Layers (bottom up):
   per-function outcomes and whole campaigns;
 * :mod:`~repro.campaign.store` — the digest-keyed JSON outcome store
   (lossless :class:`~repro.injector.InjectionReport` round-trips);
-* :mod:`~repro.campaign.scheduler` — deterministic sharding plus a
-  supervised multiprocessing pool (timeout, retry, crash containment);
+* :mod:`~repro.campaign.scheduler` — per-task seeds, worker-count
+  clamping, and ``run_tasks`` (inline, or on the supervised process
+  pool of :mod:`repro.fleet.process` for ``jobs > 1``);
 * :mod:`~repro.campaign.runner` — the campaign driver wiring cache,
   scheduler, and checkpoint manifest together.
 """
@@ -34,7 +35,6 @@ from repro.campaign.scheduler import (
     DEFAULT_TASK_TIMEOUT,
     TaskResult,
     clamp_jobs,
-    dispatch_order,
     effective_jobs,
     plan_shards,
     run_tasks,
@@ -64,7 +64,6 @@ __all__ = [
     "campaign_id",
     "clamp_jobs",
     "clean_cache",
-    "dispatch_order",
     "effective_jobs",
     "generator_fingerprint",
     "load_manifest",

@@ -8,10 +8,11 @@ managed campaign:
 2. **cache** — serve unchanged functions from the
    :class:`~repro.campaign.store.OutcomeStore` without touching the
    sandbox;
-3. **inject** — fan the misses out over the
-   :mod:`~repro.campaign.scheduler` pool (``jobs`` workers, per-task
-   timeout, bounded retry; a crashed or hung worker fails only its
-   function and the campaign continues);
+3. **inject** — run the misses inline (``jobs <= 1``) or on the
+   supervised process pool of :mod:`repro.fleet.process` (``jobs``
+   workers, per-task timeout, bounded retry; a crashed or hung worker
+   costs only its function an attempt and the campaign continues), or
+   on the remote fleet;
 4. **finalize** — assemble reports in catalog order (independent of
    worker completion order), persist fresh outcomes to the store, and
    checkpoint the manifest.
@@ -75,11 +76,11 @@ class CampaignConfig:
     #: When set, the finished campaign is ingested into this results
     #: ledger (``repro.obs.ledger``) at finalize time.
     ledger: Optional[Path] = None
-    #: Fleet execution mode (``threads`` | ``processes`` | ``remote``);
-    #: None keeps the legacy scheduler (inline for jobs<=1, the
-    #: supervised pool otherwise).
+    #: Fleet execution mode (``processes`` | ``remote``); None runs
+    #: inline for jobs<=1 and on the process pool otherwise.
     fleet: Optional[str] = None
-    #: Fleet worker count; defaults to ``jobs`` when unset.
+    #: Fleet worker count (used only with ``fleet``); defaults to
+    #: ``jobs`` when unset.
     workers: Optional[int] = None
     #: ``HOST:PORT`` of an already-running daemon for the remote fleet;
     #: None self-hosts a loopback daemon for the campaign's duration.
@@ -116,10 +117,11 @@ class CampaignResult:
     outcomes: dict[str, FunctionOutcome]
     phase_timings: dict[str, float] = field(default_factory=dict)
     campaign: str = ""
-    #: How the inject phase executed: ``serial`` | ``pool`` | a fleet
-    #: mode (``threads`` | ``processes`` | ``remote``).
+    #: How the inject phase executed: ``serial`` | ``processes`` |
+    #: ``remote``.
     fleet_mode: str = "serial"
-    #: Effective worker count of the inject phase.
+    #: Effective worker count of the inject phase, sized to the
+    #: functions it dispatched (cache hits spawn no worker).
     workers: int = 1
     #: Canonical spec strings of the fault models the campaign armed.
     fault_models: tuple[str, ...] = ()
@@ -286,14 +288,21 @@ class CampaignRunner:
                     self.store.put_payload(digests[result.name], result.payload)
                 # Checkpoint after every terminal function so a killed
                 # campaign resumes from here.
-                self._write_manifest(ident, names, digests, outcomes, timings)
+                self._write_manifest(
+                    ident, names, digests, outcomes, timings, workers
+                )
             if self.progress is not None:
                 self.progress(result.name, outcome, report)
 
-        requested = config.workers if config.workers is not None else config.jobs
-        fleet_mode = config.fleet or ("pool" if config.jobs > 1 else "serial")
+        # The width handed to the pool: --workers sizes a fleet only.
+        requested = (
+            config.workers
+            if config.fleet is not None and config.workers is not None
+            else config.jobs
+        )
+        fleet_mode = config.fleet or ("processes" if config.jobs > 1 else "serial")
         workers = effective_jobs(
-            requested, len(names), config.fleet or "processes"
+            requested, len(misses), config.fleet or "processes"
         )
         if misses:
             with telemetry.span(
@@ -348,7 +357,9 @@ class CampaignRunner:
         timings["finalize"] = time.perf_counter() - started
         timings["total"] = time.perf_counter() - total_started
         if self.store is not None:
-            self._write_manifest(ident, names, digests, outcomes, timings)
+            self._write_manifest(
+                ident, names, digests, outcomes, timings, workers
+            )
         result = CampaignResult(
             reports=reports, outcomes=outcomes,
             phase_timings=timings, campaign=ident,
@@ -409,22 +420,16 @@ class CampaignRunner:
         digests: dict[str, str],
         outcomes: dict[str, FunctionOutcome],
         timings: dict[str, float],
+        workers: int,
     ) -> None:
         path = self._manifest_path()
         if path is None:
             return
-        requested = (
-            self.config.workers
-            if self.config.workers is not None
-            else self.config.jobs
-        )
         manifest = {
             "schema": CACHE_SCHEMA,
             "campaign": ident,
             "jobs": self.config.jobs,
-            "effective_jobs": effective_jobs(
-                requested, len(names), self.config.fleet or "processes"
-            ),
+            "effective_jobs": workers,
             "fleet": self.config.fleet,
             "fault_models": list(self.config.fault_models),
             "sampling": self.config.sampling,

@@ -1,27 +1,19 @@
-"""Deterministic sharding and a supervised worker pool.
+"""Task results, sharding, per-task seeds, and the ``run_tasks`` entry.
 
-The scheduler turns a list of task names into a set of
-:class:`TaskResult`\\ s, either inline (``jobs <= 1``) or by fanning
-out over a ``multiprocessing`` pool it supervises itself:
+:func:`run_tasks` turns a list of task names into a set of
+:class:`TaskResult`\\ s, either inline (``jobs <= 1``) or on the
+supervised process pool of :mod:`repro.fleet.process` (``jobs > 1``),
+the one pool every parallel path shares: per-task timeout,
+bounded retry, and crash containment live there.
 
-* **Deterministic sharding** — :func:`plan_shards` stripes the task
-  list round-robin; dispatch order interleaves the shards so early
-  tasks spread across workers.  Workers *steal* from a shared queue
-  for load balance; because every task is re-seeded from the campaign
-  seed and its own name (:func:`reseed`), results are bit-identical no
-  matter which worker executes a task or in what order tasks finish.
-* **Per-task timeout** — the parent timestamps every task start; a
-  worker that exceeds the deadline is killed, the task retried on a
-  fresh worker (bounded by ``task_retries``) or marked ``failed``.
-* **Graceful degradation** — a crashed worker (raised, killed, or
-  died outright) fails only its current task; the pool respawns a
-  replacement and the campaign continues.
-
-Results travel over one ``Pipe`` per worker rather than a shared
-``multiprocessing.Queue``: ``Connection.send`` writes synchronously
-(no feeder thread), so a worker that dies right after reporting can
-not lose the report, and worker death itself surfaces as EOF on its
-pipe instead of needing liveness polling.
+* **Deterministic seeds** — every task is re-seeded from the campaign
+  seed and its own name (:func:`reseed`), so results are
+  bit-identical no matter which worker executes a task or in what
+  order tasks finish.
+* **Width** — :func:`effective_jobs` clamps the process count to the
+  CPUs this process may run on and to the task count.
+* **Sharding** — :func:`plan_shards` stripes a task list round-robin;
+  the remote fleet ships its shards in that shape.
 
 The worker callable must be picklable (a module-level function or a
 ``functools.partial`` of one) and return a JSON-able payload dict.
@@ -29,31 +21,21 @@ The worker callable must be picklable (a module-level function or a
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import random
 import time
 import traceback
 import zlib
 from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
 from typing import Callable, Optional, Sequence
 
 from repro.obs.telemetry import NULL_TELEMETRY
 
-#: Default per-task wall-clock limit (seconds) under a parallel pool.
+#: Default per-task wall-clock limit (seconds) under the process pool.
 DEFAULT_TASK_TIMEOUT = 300.0
 
 #: Extra attempts granted to a task whose worker crashed or hung.
 DEFAULT_TASK_RETRIES = 1
-
-#: Parent poll interval while waiting on worker messages (seconds).
-_POLL = 0.05
-
-#: All workers idle + dispatched work unclaimed for this long means a
-#: task was lost in the dispatch window (worker died between dequeue
-#: and its ``start`` report); the remainder is failed, not waited on.
-_STALL_LIMIT = 30.0
 
 
 @dataclass
@@ -84,16 +66,14 @@ def plan_shards(names: Sequence[str], jobs: int) -> list[list[str]]:
     return shards
 
 
-def dispatch_order(names: Sequence[str], jobs: int) -> list[str]:
-    """Queue order that interleaves the shard plan: one task per shard
-    per round, so the first ``jobs`` dequeues hit distinct shards."""
-    shards = [list(s) for s in plan_shards(names, jobs)]
-    order: list[str] = []
-    while any(shards):
-        for shard in shards:
-            if shard:
-                order.append(shard.pop(0))
-    return order
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the
+    platform has one (a cpuset or ``taskset`` narrows it), else the
+    host count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def effective_jobs(
@@ -101,26 +81,20 @@ def effective_jobs(
 ) -> int:
     """Worker count actually worth running for the given fleet mode.
 
-    ``processes`` (the pool and the process fleet): clamped to the host
-    CPU count — oversubscribing cores never speeds up CPU-bound
-    injection work, it only adds scheduling noise (a 4-worker pool on a
-    1-core host benches *slower* than serial).
-
-    ``threads``: **not** CPU-clamped.  The GIL serializes the injection
-    loop regardless, so thread count is a concurrency knob, not a core
-    allocation; clamping it by cores would be the thread heuristic
-    lying about process capacity and vice versa.
+    ``processes`` (``--jobs`` and the process fleet): clamped to
+    :func:`_usable_cpus` — oversubscribing cores never speeds up
+    CPU-bound injection work, it only adds scheduling noise (a
+    4-worker pool on a 1-core host benches *slower* than serial).
 
     ``remote``: **not** CPU-clamped.  The coordinator's core count says
     nothing about where leased shards execute.
 
     Every mode is clamped to the task count when known (a worker with
-    no shard to lease is pure spawn cost), and benches record this
-    value.
+    no task to take is pure spawn cost), and benches record this value.
     """
     width = max(1, jobs)
     if mode == "processes":
-        width = min(width, os.cpu_count() or 1)
+        width = min(width, _usable_cpus())
     if task_count is not None:
         width = max(1, min(width, task_count))
     return width
@@ -144,7 +118,7 @@ def clamp_jobs(
             effective=width,
             mode=mode,
             task_count=task_count,
-            cpu_count=os.cpu_count() or 1,
+            cpu_count=_usable_cpus(),
         )
     return width
 
@@ -158,41 +132,6 @@ def task_seed(campaign_seed: int, name: str) -> int:
 
 def reseed(campaign_seed: int, name: str) -> None:
     random.seed(task_seed(campaign_seed, name))
-
-
-# ----------------------------------------------------------------------
-# worker side
-# ----------------------------------------------------------------------
-
-
-def _pool_worker(worker, campaign_seed, task_q, conn, worker_id):
-    """Worker loop: announce, execute, report; never raises."""
-    try:
-        while True:
-            item = task_q.get()
-            if item is None:
-                break
-            attempt, name = item
-            conn.send(("start", name, attempt))
-            started = time.perf_counter()
-            try:
-                reseed(campaign_seed, name)
-                payload = worker(name)
-            except BaseException:
-                conn.send(("err", name, attempt, traceback.format_exc(limit=20)))
-            else:
-                conn.send(
-                    ("ok", name, attempt, payload, time.perf_counter() - started)
-                )
-    except (BrokenPipeError, EOFError, KeyboardInterrupt):
-        pass
-    finally:
-        conn.close()
-
-
-# ----------------------------------------------------------------------
-# parent side
-# ----------------------------------------------------------------------
 
 
 def _run_inline(
@@ -232,18 +171,6 @@ def _run_inline(
     return results
 
 
-class _WorkerSlot:
-    """Parent-side view of one pool process."""
-
-    __slots__ = ("process", "conn", "current", "started_at")
-
-    def __init__(self, process, conn) -> None:
-        self.process = process
-        self.conn = conn
-        self.current: Optional[tuple[str, int]] = None  # (name, attempt)
-        self.started_at = 0.0
-
-
 def run_tasks(
     names: Sequence[str],
     worker: Callable[[str], dict],
@@ -267,159 +194,11 @@ def run_tasks(
     if jobs <= 1:
         return _run_inline(names, worker, seed, task_retries, telemetry, on_result)
 
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-    task_q = ctx.Queue()
-    # Clamp the pool to the host's cores; a supervised pool is kept
-    # even at width 1 so timeout policing and crash containment still
-    # apply (the inline path above has neither).
-    width = clamp_jobs(jobs, len(names), mode="processes", telemetry=telemetry)
+    from repro.fleet.process import run_process_pool
 
-    def spawn(worker_id: int) -> _WorkerSlot:
-        receiver, sender = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_pool_worker,
-            args=(worker, seed, task_q, sender, worker_id),
-            daemon=True,
-        )
-        process.start()
-        sender.close()  # parent keeps only the read end
-        telemetry.counter("campaign.workers_spawned").inc()
-        return _WorkerSlot(process, receiver)
-
-    for name in dispatch_order(names, width):
-        task_q.put((1, name))
-
-    slots: dict[int, _WorkerSlot] = {i: spawn(i) for i in range(width)}
-    conn_to_id = {slot.conn: wid for wid, slot in slots.items()}
-    next_worker_id = width
-    results: dict[str, TaskResult] = {}
-    attempts_used: dict[str, int] = {}
-    last_activity = time.perf_counter()
-
-    def finalize(result: TaskResult) -> None:
-        telemetry.counter("campaign.tasks", status=result.status).inc()
-        results[result.name] = result
-        if on_result is not None:
-            on_result(result)
-
-    def retry_or_fail(name: str, attempt: int, error: str) -> None:
-        attempts_used[name] = attempt
-        if name in results:
-            return
-        if attempt <= task_retries:
-            task_q.put((attempt + 1, name))
-            telemetry.counter("campaign.task_retries").inc()
-        else:
-            finalize(TaskResult(name, "failed", error=error, attempts=attempt))
-
-    def drop_slot(worker_id: int) -> None:
-        slot = slots.pop(worker_id)
-        conn_to_id.pop(slot.conn, None)
-        slot.conn.close()
-        slot.process.join(timeout=1.0)
-        if slot.process.is_alive():
-            slot.process.kill()
-            slot.process.join(timeout=1.0)
-
-    def respawn() -> None:
-        nonlocal next_worker_id
-        if len(results) < len(names):
-            slot = spawn(next_worker_id)
-            slots[next_worker_id] = slot
-            conn_to_id[slot.conn] = next_worker_id
-            next_worker_id += 1
-
-    try:
-        while len(results) < len(names):
-            if slots:
-                ready = mp_connection.wait(list(conn_to_id), timeout=_POLL)
-            else:
-                ready = []
-                time.sleep(_POLL)
-            now = time.perf_counter()
-            for conn in ready:
-                worker_id = conn_to_id.get(conn)
-                if worker_id is None:
-                    continue
-                slot = slots[worker_id]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    # Worker death: EOF on its pipe.  Its current task
-                    # (if the start report arrived) is retried.
-                    current = slot.current
-                    exitcode = slot.process.exitcode
-                    drop_slot(worker_id)
-                    if current is not None:
-                        telemetry.event(
-                            "campaign.worker_crash", function=current[0]
-                        )
-                        retry_or_fail(
-                            current[0], current[1],
-                            f"worker died (exitcode {exitcode})",
-                        )
-                    respawn()
-                    last_activity = now
-                    continue
-                last_activity = now
-                kind = message[0]
-                if kind == "start":
-                    slot.current = (message[1], message[2])
-                    slot.started_at = now
-                elif kind == "ok":
-                    slot.current = None
-                    _, name, attempt, payload, elapsed = message
-                    if name not in results:
-                        finalize(
-                            TaskResult(
-                                name, "ok", payload=payload,
-                                elapsed=elapsed, attempts=attempt,
-                            )
-                        )
-                elif kind == "err":
-                    slot.current = None
-                    _, name, attempt, error = message
-                    retry_or_fail(name, attempt, error)
-
-            # Deadline policing for hung tasks.
-            if timeout is not None:
-                for worker_id, slot in list(slots.items()):
-                    if slot.current is None:
-                        continue
-                    if now - slot.started_at <= timeout:
-                        continue
-                    name, attempt = slot.current
-                    telemetry.event("campaign.task_timeout", function=name)
-                    slot.process.terminate()
-                    drop_slot(worker_id)
-                    retry_or_fail(name, attempt, f"timed out after {timeout:.1f}s")
-                    respawn()
-                    last_activity = now
-
-            # Stall guard for the start-report race (worker died between
-            # dequeue and announce): all workers idle, nothing arriving,
-            # yet tasks outstanding.
-            all_idle = all(slot.current is None for slot in slots.values())
-            if all_idle and now - last_activity > _STALL_LIMIT:
-                for name in names:
-                    if name not in results:
-                        finalize(
-                            TaskResult(
-                                name, "failed", error="task lost by the pool",
-                                attempts=attempts_used.get(name, 0) + 1,
-                            )
-                        )
-    finally:
-        for _ in slots:
-            task_q.put(None)
-        deadline = time.perf_counter() + 2.0
-        for slot in slots.values():
-            slot.process.join(timeout=max(0.0, deadline - time.perf_counter()))
-            if slot.process.is_alive():
-                slot.process.terminate()
-                slot.process.join(timeout=1.0)
-            slot.conn.close()
-        task_q.cancel_join_thread()
-        task_q.close()
-    return results
+    return run_process_pool(
+        names, worker,
+        workers=clamp_jobs(jobs, len(names), telemetry=telemetry),
+        seed=seed, timeout=timeout, task_retries=task_retries,
+        telemetry=telemetry, on_result=on_result,
+    )

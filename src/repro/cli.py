@@ -7,8 +7,9 @@ Exposes the pipeline the way the real HEALERS tooling would be driven:
 * ``harden``             — run the pipeline and write the C artifacts
 * ``ballista``           — the Figure-6 robustness evaluation
 * ``campaign``           — managed campaigns: run / status / clean
-  (``run --fleet {threads,processes,remote} --workers N`` executes the
-  inject phase on the :mod:`repro.fleet` fabric)
+  (``run --jobs N`` and ``run --fleet processes --workers N`` execute
+  the inject phase on the supervised process pool,
+  ``run --fleet remote`` on workers leasing shards from a daemon)
 * ``serve``              — the hardening-as-a-service daemon
 * ``query``              — one request against a running daemon
 * ``fleet``              — remote campaign workers (``fleet worker
@@ -958,11 +959,11 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("functions", nargs="*",
                               help="functions (default: the 86-function set)")
     campaign_run.add_argument("--jobs", type=int, default=1, metavar="N")
-    campaign_run.add_argument("--fleet", choices=["threads", "processes", "remote"],
+    campaign_run.add_argument("--fleet", choices=["processes", "remote"],
                               help="execute the inject phase on a fleet: "
-                                   "threads (GIL-bound baseline), processes "
-                                   "(true multi-core), or remote (workers "
-                                   "lease shards from a service daemon)")
+                                   "processes (the supervised process pool) "
+                                   "or remote (workers lease shards from a "
+                                   "service daemon)")
     campaign_run.add_argument("--workers", type=int, default=None, metavar="N",
                               help="fleet worker count (default: --jobs)")
     campaign_run.add_argument("--connect", metavar="HOST:PORT",

@@ -1,18 +1,17 @@
 """repro.fleet — the process-isolated campaign fabric.
 
-One abstraction, three transports.  A campaign is sliced into wire-
-format shards (:mod:`repro.fleet.wire`) and executed by a *fleet*:
+One abstraction, two transports:
 
-``threads``
-    The honest GIL-bound baseline (:mod:`repro.fleet.threads`) —
-    measured and labeled, never sold as a speedup.
 ``processes``
-    True OS processes with heartbeats, per-task deadlines, and
-    reshard-and-retry on worker death (:mod:`repro.fleet.process`).
+    The supervised process pool (:mod:`repro.fleet.process`): one
+    queue item per function, heartbeats, per-task deadlines, and
+    requeue-and-retry on worker death.  ``--jobs N`` and the sharded
+    Ballista sweep run on the same pool.
 ``remote``
-    Workers anywhere, leasing shards from a service daemon's broker
-    over the v1 protocol, results streaming into the shared
-    content-addressed outcome store (:mod:`repro.fleet.remote`).
+    Workers anywhere, leasing wire-format shards
+    (:mod:`repro.fleet.wire`) from a service daemon's broker over the
+    v1 protocol, results streaming into the shared content-addressed
+    outcome store (:mod:`repro.fleet.remote`).
 
 Every mode reseeds per function from the campaign seed, so campaign
 output is bit-identical to serial execution no matter the transport,
@@ -21,6 +20,7 @@ the worker count, or how many workers died along the way.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional, Sequence
 
 from repro.campaign.scheduler import (
@@ -68,8 +68,8 @@ def build_shards(
     sampling: Optional[str] = None,
 ) -> list[ShardSpec]:
     """Stripe the campaign's functions into up to ``workers`` shards
-    (same round-robin striping as the legacy scheduler, so shard
-    membership is deterministic for a given catalog order)."""
+    (:func:`~repro.campaign.scheduler.plan_shards` round-robin, so
+    shard membership is deterministic for a given catalog order)."""
     stripes = plan_shards(list(names), workers)
     return [
         ShardSpec.build(
@@ -112,28 +112,25 @@ def run_fleet(
             f"unknown fleet mode {mode!r} (choose from {FLEET_MODES})"
         )
     workers = clamp_jobs(workers, len(names), mode=mode, telemetry=telemetry)
-    common = dict(
-        campaign=campaign,
-        workers=workers,
-        seed=seed,
-        max_vectors=max_vectors,
-        timeout=timeout,
-        task_retries=task_retries,
-        telemetry=telemetry,
-        on_result=on_result,
-        fault_models=tuple(fault_models),
-        sampling=sampling,
-    )
-    if mode == "threads":
-        from repro.fleet.threads import run_thread_fleet
-
-        return run_thread_fleet(names, digests, **common)
     if mode == "processes":
-        from repro.fleet.process import run_process_fleet
+        from repro.campaign.runner import _inject_payload
+        from repro.fleet.process import run_process_pool
 
-        return run_process_fleet(names, digests, **common)
+        worker = functools.partial(
+            _inject_payload, max_vectors=max_vectors,
+            fault_models=tuple(fault_models), sampling=sampling,
+        )
+        return run_process_pool(
+            names, worker, workers=workers, seed=seed, timeout=timeout,
+            task_retries=task_retries, telemetry=telemetry,
+            on_result=on_result,
+        )
     from repro.fleet.remote import run_remote_fleet
 
     return run_remote_fleet(
-        names, digests, cache_dir=cache_dir, address=address, **common
+        names, digests, cache_dir=cache_dir, address=address,
+        campaign=campaign, workers=workers, seed=seed,
+        max_vectors=max_vectors, timeout=timeout, task_retries=task_retries,
+        telemetry=telemetry, on_result=on_result,
+        fault_models=tuple(fault_models), sampling=sampling,
     )

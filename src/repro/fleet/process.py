@@ -1,28 +1,29 @@
-"""The process fleet: campaign shards in true OS processes.
+"""The supervised process pool: every parallel local path runs here.
 
-Where the legacy :mod:`~repro.campaign.scheduler` pool dispatches one
-function at a time, the process fleet ships whole *shards* (the
-:mod:`~repro.fleet.wire` format) to spawn-safe ``multiprocessing``
-workers and supervises them with the full fleet failure model:
+``run_tasks(jobs > 1)`` (campaigns under ``--jobs``, the sharded
+Ballista sweep) and ``--fleet processes`` share :func:`run_process_pool`.
+It takes a picklable ``worker(name) -> payload`` callable and queues
+one ``(name, attempt)`` item per task on a shared queue, so idle
+workers steal work instead of waiting on a fixed stripe.  The
+supervisor watches every worker with the full failure model:
 
 * **Heartbeats** — every worker beats from a side thread each
   :data:`HEARTBEAT_INTERVAL`; a worker whose beats stop while its
-  process is wedged (alive but silent past ``heartbeat_timeout``) is
-  killed and its work resharded, the same path as outright death.
-* **Per-task deadlines** — the parent timestamps each function start;
-  exceeding ``timeout`` kills the worker and retries the function on a
+  process is wedged (alive but silent past :data:`HEARTBEAT_TIMEOUT`) is
+  killed and handled like any other death.
+* **Per-task deadlines** — the parent timestamps each task start;
+  exceeding ``timeout`` kills the worker and retries the task on a
   fresh one (bounded by ``task_retries``).
-* **Worker death → reshard-and-retry** — death surfaces as EOF on the
-  worker's pipe (``kill -9`` included).  The function it was running
-  retries with its attempt bumped; the rest of its shard requeues as a
-  fresh shard (``fleet.reshard_count``), so one dead worker costs one
-  function attempt, never a shard.
-* **Deterministic merge** — every function re-seeds from the campaign
-  seed and its own name, so results are bit-identical to serial no
-  matter which worker ran what; the campaign runner assembles catalog
-  order as always.
+* **Worker death → requeue** — death surfaces as EOF on the worker's
+  pipe (``kill -9`` included).  Only the task the worker held is
+  requeued (``fleet.reshard_count``): with its attempt bumped if it
+  had started running, unchanged if the worker died between taking it
+  and starting it.
+* **Deterministic merge** — every task re-seeds from the campaign seed
+  and its own name, so results are bit-identical to serial no matter
+  which worker ran what; callers assemble their own order.
 
-Results stream back per function over one pipe per worker (sends are
+Results stream back per task over one pipe per worker (sends are
 synchronous; death cannot lose a delivered result, and needs no
 liveness polling to detect).
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import threading
 import time
+import traceback
 from multiprocessing import connection as mp_connection
 from typing import Callable, Optional, Sequence
 
@@ -39,39 +41,31 @@ from repro.campaign.scheduler import (
     DEFAULT_TASK_RETRIES,
     DEFAULT_TASK_TIMEOUT,
     TaskResult,
+    reseed,
 )
-from repro.fleet.wire import FunctionResult, ShardSpec
-from repro.fleet.worker import execute_function, maybe_chaos_exit
+from repro.fleet.wire import (
+    FingerprintMismatch,
+    fleet_fingerprints,
+    verify_fingerprints,
+)
+from repro.fleet.worker import maybe_chaos_exit
 from repro.obs.telemetry import NULL_TELEMETRY
 
 #: Worker heartbeat period (seconds).
 HEARTBEAT_INTERVAL = 0.5
 
 #: Parent-side silence budget: a worker alive but silent this long is
-#: treated as wedged and resharded.  Generous — heartbeats flow from a
+#: treated as wedged and killed.  Generous — heartbeats flow from a
 #: side thread even during CPU-bound injection.
-DEFAULT_HEARTBEAT_TIMEOUT = 60.0
+HEARTBEAT_TIMEOUT = 60.0
 
 #: Parent poll interval while waiting on worker messages (seconds).
 _POLL = 0.05
 
-#: All workers idle + tasks outstanding for this long means a shard was
-#: lost in the dispatch window; the remainder is requeued with bumped
-#: attempts (bounded by the retry budget), not waited on forever.
+#: All workers idle + tasks queued for this long means a task was lost
+#: in the dispatch window (a worker died between dequeue and its lease
+#: report); it is requeued with a bumped attempt, not waited on forever.
 _STALL_LIMIT = 30.0
-
-
-def task_result_from(result: FunctionResult) -> TaskResult:
-    """The scheduler-compatible view of one wire-format result."""
-    if result.ok:
-        return TaskResult(
-            result.function, "ok", payload=result.payload,
-            elapsed=result.elapsed, attempts=result.attempt,
-        )
-    return TaskResult(
-        result.function, "failed", error=result.error,
-        elapsed=result.elapsed, attempts=result.attempt,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -79,8 +73,9 @@ def task_result_from(result: FunctionResult) -> TaskResult:
 # ----------------------------------------------------------------------
 
 
-def _process_worker_main(worker_id: int, task_q, conn) -> None:
-    """Worker loop: lease, execute function by function, report.
+def _process_worker_main(worker, seed, fingerprints, task_q, conn) -> None:
+    """Worker loop: verify, then lease, run, and report task by task
+    until the ``None`` sentinel.
 
     All sends share one lock because the heartbeat thread writes the
     same pipe.  Never raises.
@@ -96,37 +91,39 @@ def _process_worker_main(worker_id: int, task_q, conn) -> None:
     def beat() -> None:
         while not stop.wait(HEARTBEAT_INTERVAL):
             try:
-                send(("hb", worker_id, time.monotonic()))
+                send(("hb",))
             except (OSError, ValueError):
                 return
 
-    threading.Thread(
-        target=beat, name=f"fleet-hb-{worker_id}", daemon=True
-    ).start()
+    threading.Thread(target=beat, name="fleet-hb", daemon=True).start()
 
-    completed = 0
     try:
+        try:
+            verify_fingerprints(fingerprints)
+        except FingerprintMismatch as exc:
+            send(("refused", str(exc)))
+            return
+        completed = 0
         while True:
             item = task_q.get()
             if item is None:
                 break
-            shard = ShardSpec.decode(item)
-            send(("lease", worker_id, shard.shard_id))
-            shard.verify_local()
-            for name, digest, attempt in zip(
-                shard.functions, shard.digests, shard.attempts
-            ):
-                send(("start", worker_id, shard.shard_id, name, attempt))
-                result = execute_function(
-                    name, digest, shard.seed, shard.max_vectors, attempt,
-                    worker=f"proc-{worker_id}",
-                    fault_models=shard.fault_models,
-                    sampling=shard.sampling,
-                )
-                completed += 1
-                send(("fn", worker_id, shard.shard_id, result.encode()))
+            name, attempt = item
+            send(("lease", name, attempt))
+            if completed:
+                # A chaos kill lands here, with a task leased but not
+                # started: the supervisor must requeue it.
                 maybe_chaos_exit(completed)
-            send(("done", worker_id, shard.shard_id))
+            send(("start",))
+            started = time.perf_counter()
+            try:
+                reseed(seed, name)
+                payload = worker(name)
+            except Exception:
+                send(("err", traceback.format_exc(limit=20)))
+            else:
+                send(("ok", payload, time.perf_counter() - started))
+            completed += 1
     except (BrokenPipeError, EOFError, KeyboardInterrupt):
         pass
     finally:
@@ -140,60 +137,49 @@ def _process_worker_main(worker_id: int, task_q, conn) -> None:
 
 
 class _Slot:
-    """Parent-side view of one fleet worker process."""
+    """Parent-side view of one worker process."""
 
     __slots__ = (
-        "process", "conn", "shard_id", "current", "started_at", "last_beat"
+        "process", "conn", "current", "running", "started_at", "last_beat"
     )
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
-        self.shard_id: Optional[str] = None
-        self.current: Optional[tuple[str, int]] = None   # (function, attempt)
+        self.current: Optional[tuple[str, int]] = None   # (name, attempt)
+        self.running = False
         self.started_at = 0.0
         self.last_beat = time.monotonic()
 
 
-def run_process_fleet(
+def run_process_pool(
     names: Sequence[str],
-    digests: dict[str, str],
+    worker: Callable[[str], dict],
     *,
-    campaign: str,
     workers: int,
     seed: int = 0,
-    max_vectors: int,
     timeout: Optional[float] = DEFAULT_TASK_TIMEOUT,
     task_retries: int = DEFAULT_TASK_RETRIES,
-    heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
     telemetry=NULL_TELEMETRY,
     on_result: Optional[Callable[[TaskResult], None]] = None,
-    fault_models: Sequence[str] = (),
-    sampling: Optional[str] = None,
 ) -> dict[str, TaskResult]:
-    """Execute every function through a supervised process fleet."""
-    from repro.fleet import build_shards
+    """Run ``worker(name)`` for every name on ``workers`` supervised
+    processes; returns name→result.
 
+    Callers clamp ``workers`` (:func:`~repro.campaign.scheduler.clamp_jobs`).
+    ``on_result`` fires in completion order.  A pool is kept even at
+    width 1, so deadlines and crash containment still apply.  Raises
+    :class:`FingerprintMismatch` if a worker runs different code.
+    """
     if not names:
         return {}
     methods = mp.get_all_start_methods()
     ctx = mp.get_context("fork" if "fork" in methods else "spawn")
     task_q = ctx.Queue()
-
-    shards = build_shards(
-        names, digests, workers, campaign=campaign, seed=seed,
-        max_vectors=max_vectors, fault_models=fault_models,
-        sampling=sampling,
-    )
-    width = len(shards)
-    shards_by_id: dict[str, ShardSpec] = {s.shard_id: s for s in shards}
-    # Remaining (not-yet-terminal) functions of each shard, with the
-    # attempt each would requeue as.
-    shard_remaining: dict[str, dict[str, int]] = {
-        s.shard_id: dict(zip(s.functions, s.attempts)) for s in shards
-    }
-    reshard_seq = 0
+    fingerprints = fleet_fingerprints()
     results: dict[str, TaskResult] = {}
+    #: Tasks on the queue that no worker has reported leasing yet.
+    queued: dict[str, int] = {}
     last_activity = time.monotonic()
 
     def finalize(result: TaskResult) -> None:
@@ -202,144 +188,86 @@ def run_process_fleet(
         if on_result is not None:
             on_result(result)
 
-    def submit(shard: ShardSpec) -> None:
-        shards_by_id[shard.shard_id] = shard
-        shard_remaining[shard.shard_id] = dict(
-            zip(shard.functions, shard.attempts)
-        )
-        task_q.put(shard.encode())
+    def enqueue(name: str, attempt: int) -> None:
+        queued[name] = attempt
+        task_q.put((name, attempt))
 
-    def reshard(pairs: list[tuple[str, int]], template: ShardSpec) -> None:
-        """Requeue (function, attempt) pairs as a fresh shard; pairs
-        past the retry budget fail instead."""
-        nonlocal reshard_seq
-        retry: list[tuple[str, int]] = []
-        for name, attempt in pairs:
-            if name in results:
-                continue
-            if attempt > task_retries + 1:
-                finalize(
-                    TaskResult(
-                        name, "failed",
-                        error="worker died and the retry budget is spent",
-                        attempts=attempt - 1,
-                    )
-                )
-            else:
-                retry.append((name, attempt))
-        if not retry:
-            return
-        reshard_seq += 1
-        shard = ShardSpec.build(
-            shard_id=f"{campaign}/r{reshard_seq}",
-            campaign=campaign,
-            seed=seed,
-            max_vectors=max_vectors,
-            functions=[n for n, _ in retry],
-            digests=[digests[n] for n, _ in retry],
-            attempts=[a for _, a in retry],
-            fingerprints=dict(template.fingerprints),
-            fault_models=template.fault_models,
-            sampling=template.sampling,
-        )
-        submit(shard)
-        telemetry.counter("fleet.reshard_count").inc()
-        telemetry.event(
-            "fleet.reshard", campaign=campaign, shard=shard.shard_id,
-            functions=len(retry),
-        )
+    def retry(name: str, attempt: int, error: str) -> bool:
+        """Requeue a spent attempt, or fail the task once its retry
+        budget is used up; True when requeued."""
+        if attempt > task_retries:
+            finalize(TaskResult(name, "failed", error=error, attempts=attempt))
+            return False
+        telemetry.counter("fleet.task_retries").inc()
+        enqueue(name, attempt + 1)
+        return True
 
-    for shard in shards:
-        task_q.put(shard.encode())
+    for name in names:
+        enqueue(name, 1)
 
-    def spawn(worker_id: int) -> _Slot:
+    def spawn() -> _Slot:
         receiver, sender = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_process_worker_main,
-            args=(worker_id, task_q, sender),
+            args=(worker, seed, fingerprints, task_q, sender),
             daemon=True,
         )
         process.start()
-        sender.close()
+        sender.close()  # parent keeps only the read end
         telemetry.counter("fleet.workers_spawned").inc()
         return _Slot(process, receiver)
 
-    slots: dict[int, _Slot] = {i: spawn(i) for i in range(width)}
-    conn_to_id = {slot.conn: wid for wid, slot in slots.items()}
-    next_worker_id = width
+    slots = {slot.conn: slot for slot in (spawn() for _ in range(workers))}
 
     def update_gauges() -> None:
         telemetry.gauge("fleet.workers_alive").set(
             sum(1 for s in slots.values() if s.process.is_alive())
         )
-        telemetry.gauge("fleet.shards_leased").set(
-            sum(1 for s in slots.values() if s.shard_id is not None)
-        )
 
     update_gauges()
 
-    def drop_slot(worker_id: int) -> None:
-        slot = slots.pop(worker_id)
-        conn_to_id.pop(slot.conn, None)
+    def handle_death(slot: _Slot, reason: str, crashed: bool = True) -> None:
+        """Shared by EOF, deadline kills and wedged-worker kills:
+        requeue the task the worker held, then replace the worker.
+
+        ``crashed=False`` (deadline kills, already reported as
+        ``fleet.task_timeout``) skips the ``fleet.worker_crash`` event,
+        so each failure lands in exactly one event series."""
+        del slots[slot.conn]
         slot.conn.close()
         slot.process.join(timeout=1.0)
         if slot.process.is_alive():
             slot.process.kill()
             slot.process.join(timeout=1.0)
-
-    def respawn() -> None:
-        nonlocal next_worker_id
-        if len(results) < len(names):
-            slot = spawn(next_worker_id)
-            slots[next_worker_id] = slot
-            conn_to_id[slot.conn] = next_worker_id
-            next_worker_id += 1
-
-    def handle_death(worker_id: int, reason: str) -> None:
-        """The reshard-and-retry path shared by EOF, deadline kills,
-        and wedged-worker kills."""
-        slot = slots[worker_id]
-        shard_id, current = slot.shard_id, slot.current
-        drop_slot(worker_id)
-        if shard_id is not None:
-            remaining = shard_remaining.pop(shard_id, {})
-            template = shards_by_id[shard_id]
-            pairs: list[tuple[str, int]] = []
-            for name, attempt in remaining.items():
-                if name in results:
-                    continue
-                if current is not None and name == current[0]:
-                    # The in-flight function consumed this attempt.
-                    pairs.append((name, current[1] + 1))
-                else:
-                    pairs.append((name, attempt))
-            if current is not None:
+        if slot.current is not None and slot.current[0] not in results:
+            name, attempt = slot.current
+            if crashed:
                 telemetry.event(
-                    "fleet.worker_crash", function=current[0], reason=reason
+                    "fleet.worker_crash", function=name, reason=reason
                 )
-            if pairs:
-                reshard(pairs, template)
-        respawn()
+            if not slot.running:
+                # Leased but never started: the attempt is not spent.
+                enqueue(name, attempt)
+                telemetry.counter("fleet.reshard_count").inc()
+            elif retry(name, attempt, f"{reason}; retry budget spent"):
+                telemetry.counter("fleet.reshard_count").inc()
+        if len(results) < len(names):
+            replacement = spawn()
+            slots[replacement.conn] = replacement
         update_gauges()
 
     try:
         while len(results) < len(names):
-            if slots:
-                ready = mp_connection.wait(list(conn_to_id), timeout=_POLL)
-            else:
-                ready = []
-                time.sleep(_POLL)
+            ready = mp_connection.wait(list(slots), timeout=_POLL)
             now = time.monotonic()
             for conn in ready:
-                worker_id = conn_to_id.get(conn)
-                if worker_id is None:
-                    continue
-                slot = slots[worker_id]
+                slot = slots[conn]
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
-                    exitcode = slot.process.exitcode
-                    handle_death(worker_id, f"worker died (exitcode {exitcode})")
+                    handle_death(
+                        slot, f"worker died (exitcode {slot.process.exitcode})"
+                    )
                     last_activity = now
                     continue
                 slot.last_beat = now
@@ -348,74 +276,61 @@ def run_process_fleet(
                     continue
                 last_activity = now
                 if kind == "lease":
-                    slot.shard_id = message[2]
+                    slot.current = (message[1], message[2])
+                    queued.pop(message[1], None)
                 elif kind == "start":
-                    slot.current = (message[3], message[4])
+                    slot.running = True
                     slot.started_at = now
-                elif kind == "fn":
-                    slot.current = None
-                    _, _, shard_id, doc = message
-                    result = task_result_from(FunctionResult.decode(doc))
-                    shard_remaining.get(shard_id, {}).pop(result.name, None)
-                    if result.name in results:
+                elif kind == "refused":
+                    raise FingerprintMismatch(message[1])
+                else:
+                    name, attempt = slot.current
+                    slot.current, slot.running = None, False
+                    if name in results:
                         continue
-                    if result.ok or result.attempts > task_retries:
-                        finalize(result)
-                    else:
-                        # Failed with retry budget left: requeue alone.
-                        telemetry.counter("fleet.task_retries").inc()
-                        reshard(
-                            [(result.name, result.attempts + 1)],
-                            shards_by_id[shard_id],
+                    if kind == "ok":
+                        finalize(
+                            TaskResult(
+                                name, "ok", payload=message[1],
+                                elapsed=message[2], attempts=attempt,
+                            )
                         )
-                elif kind == "done":
-                    slot.shard_id = None
-                    slot.current = None
-                    update_gauges()
+                    else:
+                        retry(name, attempt, message[1])
 
-            # Deadline policing for hung functions.
+            # Deadline policing for hung tasks.
             if timeout is not None:
-                for worker_id, slot in list(slots.items()):
-                    if slot.current is None:
-                        continue
-                    if now - slot.started_at <= timeout:
+                for slot in list(slots.values()):
+                    if not slot.running or now - slot.started_at <= timeout:
                         continue
                     telemetry.event(
                         "fleet.task_timeout", function=slot.current[0]
                     )
                     slot.process.terminate()
                     handle_death(
-                        worker_id,
-                        f"function timed out after {timeout:.1f}s",
+                        slot, f"timed out after {timeout:.1f}s", crashed=False
                     )
                     last_activity = now
 
             # Wedged-worker policing: alive but silent (not even beats).
-            for worker_id, slot in list(slots.items()):
-                if now - slot.last_beat <= heartbeat_timeout:
+            for slot in list(slots.values()):
+                if now - slot.last_beat <= HEARTBEAT_TIMEOUT:
                     continue
-                telemetry.event("fleet.worker_wedged", worker=worker_id)
+                telemetry.event("fleet.worker_wedged", pid=slot.process.pid)
                 slot.process.kill()
-                handle_death(worker_id, "worker went silent (no heartbeats)")
+                handle_death(slot, "worker went silent (no heartbeats)")
                 last_activity = now
 
-            # Stall guard: shard lost between dequeue and its lease
+            # Stall guard: a task lost between dequeue and its lease
             # report (the worker died in the dispatch window).
-            all_idle = all(s.shard_id is None for s in slots.values())
-            if all_idle and now - last_activity > _STALL_LIMIT:
+            all_idle = all(s.current is None for s in slots.values())
+            if queued and all_idle and now - last_activity > _STALL_LIMIT:
                 last_activity = now
-                lost = [
-                    (name, attempt + 1)
-                    for shard_id, remaining in list(shard_remaining.items())
-                    for name, attempt in remaining.items()
-                    if name not in results
-                ]
-                if lost:
-                    template = next(iter(shards_by_id.values()))
-                    shard_remaining.clear()
-                    reshard(lost, template)
+                for name, attempt in list(queued.items()):
+                    del queued[name]
+                    retry(name, attempt, "task lost by the pool")
     finally:
-        for _ in range(len(slots) + 1):
+        for _ in slots:
             task_q.put(None)
         deadline = time.monotonic() + 2.0
         for slot in slots.values():
@@ -428,3 +343,4 @@ def run_process_fleet(
         task_q.close()
         update_gauges()
     return results
+

@@ -58,6 +58,19 @@ def parse_address(address: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def task_result_from(result: FunctionResult) -> TaskResult:
+    """The scheduler-compatible view of one wire-format result."""
+    if result.ok:
+        return TaskResult(
+            result.function, "ok", payload=result.payload,
+            elapsed=result.elapsed, attempts=result.attempt,
+        )
+    return TaskResult(
+        result.function, "failed", error=result.error,
+        elapsed=result.elapsed, attempts=result.attempt,
+    )
+
+
 def run_remote_fleet(
     names: Sequence[str],
     digests: dict[str, str],
@@ -77,7 +90,6 @@ def run_remote_fleet(
 ) -> dict[str, TaskResult]:
     """Run the campaign through a shard broker; see the module doc."""
     from repro.fleet import build_shards
-    from repro.fleet.process import task_result_from
     from repro.service.client import ServiceClient
 
     if not names:

@@ -28,8 +28,8 @@ old worker handed a newer shard) is refused outright rather than
 guessed at.
 
 Shards serialize to plain JSON objects (:meth:`ShardSpec.encode` /
-:meth:`ShardSpec.decode`) so they travel both the ``multiprocessing``
-pipe and the service's line-delimited JSON protocol unchanged, and
+:meth:`ShardSpec.decode`) so they travel the service's line-delimited
+JSON protocol unchanged, and
 :meth:`ShardSpec.digest` is stable across every transport: encode →
 decode → encode is the identity, and pickling round-trips to the same
 digest (regression-tested).
@@ -57,7 +57,7 @@ from repro.typelattice import LATTICE_VERSION
 WIRE_VERSION = 3
 
 #: The fleet modes ``campaign run --fleet`` accepts.
-FLEET_MODES = ("threads", "processes", "remote")
+FLEET_MODES = ("processes", "remote")
 
 
 class WireError(ValueError):

@@ -1,11 +1,12 @@
-"""What a fleet worker actually runs, regardless of transport.
+"""What a remote fleet worker runs, plus the chaos hook every worker honours.
 
-:func:`execute_function` is the single execution path every fleet mode
-shares: re-seed from the campaign seed and the function name (exactly
-as the serial engine and the legacy pool do), run the injector, and
+:func:`execute_function` is the remote transport's execution path:
+re-seed from the campaign seed and the function name (exactly as the
+serial engine and the process pool do), run the injector, and
 serialize the report worker-side so only a JSON-able payload crosses
-the process or network boundary.  Bit-identical campaign output in
-every mode follows from this function being the only way work runs.
+the network boundary.  The process pool runs the same
+``_inject_payload`` under the same reseed, so every transport's output
+is bit-identical.
 
 :func:`remote_worker_main` is the long-lived loop of a remote worker:
 register with the daemon (fingerprint-checked), lease shards, stream
@@ -17,11 +18,13 @@ Chaos hook
 ----------
 
 ``REPRO_FLEET_CHAOS=kill-after:N`` makes a worker ``SIGKILL`` itself
-after completing N functions — the deterministic stand-in for
+once it has completed N functions — the deterministic stand-in for
 ``kill -9`` that the recovery tests and the CI fleet job use to prove
-reshard-and-retry without racing a real signal against the scheduler.
-The hook is read once per completion and does nothing when the
-variable is unset, so production paths never pay for it.
+requeue-and-retry without racing a real signal against the supervisor.
+A process-pool worker fires it on taking its next task, so the kill
+always lands with work in hand; a remote worker fires it between the
+functions of a shard.  The hook does nothing when the variable is
+unset, so production paths never pay for it.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from repro.ballista import BallistaHarness, pool_for, STRING_POOL, FILE_POOL
 from repro.cdecl import DeclarationParser, typedef_table
 from repro.libc.catalog import BY_NAME
 from repro.libc.runtime import standard_runtime
+from repro.obs.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +118,41 @@ class TestWrappedExecution:
         for record in wrapped.records:
             if all(not v.exceptional for v in record.test.values):
                 assert record.status != "crash"
+
+
+class TestShardedExecution:
+    """``run(jobs=2)`` goes through the supervised process pool; its
+    report must equal the serial one record for record."""
+
+    NAMES = ["abs", "atoi", "isdigit", "toupper", "strlen", "strcpy",
+             "strcmp", "asctime", "fclose", "fgetc"]
+
+    @pytest.fixture(scope="class")
+    def sharded_setup(self):
+        from repro.core import HealersPipeline
+
+        hardened = HealersPipeline(functions=self.NAMES).run()
+        harness = BallistaHarness(
+            functions=[BY_NAME[n] for n in self.NAMES], telemetry=Telemetry()
+        )
+        return hardened, harness
+
+    def test_unwrapped_parallel_equals_serial(self, sharded_setup):
+        _, harness = sharded_setup
+        serial = harness.run()
+        parallel = harness.run(jobs=2)
+        assert parallel.records == serial.records
+        # The sweep really ran on the pool, not the serial fallback.
+        spawned = harness.telemetry.counter(
+            "fleet.workers_spawned", configuration="unwrapped"
+        ).value
+        assert spawned >= 1
+
+    def test_full_auto_parallel_equals_serial(self, sharded_setup):
+        hardened, harness = sharded_setup
+        serial = harness.run(wrapper=hardened.wrapper(), configuration="full-auto")
+        parallel = harness.run(
+            wrapper=hardened.wrapper(), configuration="full-auto", jobs=2
+        )
+        assert parallel.configuration == serial.configuration == "full-auto"
+        assert parallel.records == serial.records

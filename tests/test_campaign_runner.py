@@ -1,6 +1,8 @@
 """Tests for the campaign runner: caching, resume, ordering, failure
 policy, and the pipeline integration."""
 
+import os
+
 import pytest
 
 import repro.campaign.runner as runner_mod
@@ -13,6 +15,7 @@ from repro.campaign import (
 )
 from repro.core.pipeline import HealersPipeline
 from repro.libc.catalog import BALLISTA_SET
+from repro.obs.telemetry import Telemetry
 from repro.sandbox import Sandbox
 
 FNS = ["abs", "labs", "asctime"]
@@ -139,6 +142,29 @@ class TestCampaignRunner:
         assert completions == list(reversed(FNS))
         assert list(result.reports) == FNS
         assert list(result.outcomes) == FNS
+
+    def test_workers_count_only_dispatched_functions(
+        self, tmp_path, monkeypatch
+    ):
+        # Pin an 8-CPU host so only the cache can shrink the width.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        CampaignRunner(["abs", "labs"], CampaignConfig(cache_dir=tmp_path)).run()
+        result = CampaignRunner(
+            FNS, CampaignConfig(jobs=2, cache_dir=tmp_path)
+        ).run()
+        assert result.cache_hits == 2 and result.ran == 1
+        assert result.workers == 1
+        assert load_manifest(tmp_path)["effective_jobs"] == 1
+
+        # Without --fleet, --workers does not size the pool: --jobs does.
+        telemetry = Telemetry()
+        result = CampaignRunner(
+            FNS, CampaignConfig(jobs=3, workers=2), telemetry=telemetry
+        ).run()
+        assert result.workers == 3
+        assert telemetry.counter("fleet.workers_spawned").value == 3
 
     def test_clean_cache(self, tmp_path):
         CampaignRunner(["abs"], CampaignConfig(cache_dir=tmp_path)).run()

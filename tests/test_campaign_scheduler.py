@@ -1,8 +1,11 @@
-"""Tests for the campaign scheduler (sharding + supervised pool)."""
+"""Tests for the campaign scheduler (sharding, worker-count clamping,
+and run_tasks inline and on the supervised process pool)."""
+
+import os
 
 import pytest
 
-from repro.campaign import dispatch_order, plan_shards, run_tasks, task_seed
+from repro.campaign import effective_jobs, plan_shards, run_tasks, task_seed
 from tests.campaign_workers import draw, echo, misbehave, slow_first
 
 
@@ -18,16 +21,25 @@ class TestSharding:
     def test_single_shard_is_identity(self):
         assert plan_shards(list("abc"), 1) == [list("abc")]
 
-    def test_dispatch_interleaves_shards(self):
-        # Round-robin striping followed by per-round interleaving
-        # reproduces the caller's order: the first `jobs` dequeues hit
-        # distinct shards while the global sequence stays stable.
-        assert dispatch_order(list("abcde"), 2) == list("abcde")
-        assert dispatch_order(list("abcdef"), 3) == list("abcdef")
-
     def test_plan_is_deterministic(self):
         names = [f"fn{i}" for i in range(17)]
         assert plan_shards(names, 4) == plan_shards(names, 4)
+
+
+class TestEffectiveJobs:
+    def test_process_width_clamps_to_cpu_affinity(self, monkeypatch):
+        # A pinned process (cpuset, taskset) may run on fewer CPUs than
+        # the host has; the pool must not oversubscribe the ones it has.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert effective_jobs(4, 10) == 1
+
+    def test_remote_width_ignores_local_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert effective_jobs(4, 10, mode="remote") == 4
+        assert effective_jobs(4, 3, mode="remote") == 3
 
 
 class TestTaskSeed:

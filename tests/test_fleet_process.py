@@ -1,5 +1,5 @@
-"""Tests for the process fleet: bit-identical merges, worker death
-(kill -9) recovery, deadlines, and retry budgets."""
+"""Tests for the process fleet and the pool under it: bit-identical
+merges, worker death (kill -9) recovery, deadlines, and retry budgets."""
 
 import multiprocessing as mp
 import time
@@ -7,11 +7,13 @@ import time
 import pytest
 
 from repro.campaign import CampaignConfig, CampaignRunner
+from repro.campaign.runner import _inject_payload
 from repro.fleet import run_fleet
-from repro.fleet.process import run_process_fleet
+from repro.fleet.process import run_process_pool
+from repro.fleet.wire import FingerprintMismatch
 from repro.fleet.worker import CHAOS_ENV, execute_function
-from repro.fleet.wire import FunctionResult
 from repro.obs.telemetry import Telemetry
+from tests.campaign_workers import echo
 
 #: Cheap catalog functions — the whole set injects in well under a
 #: second, so supervised-fleet tests stay tier-1 fast.
@@ -46,7 +48,7 @@ def run_fleet_payloads(telemetry=None, **overrides):
     options.update(overrides)
     if telemetry is not None:
         options["telemetry"] = telemetry
-    return run_process_fleet(FUNCTIONS, DIGESTS, **options)
+    return run_fleet("processes", FUNCTIONS, DIGESTS, **options)
 
 
 class TestBitIdentical:
@@ -63,8 +65,9 @@ class TestBitIdentical:
         assert {n: r.payload for n, r in results.items()} == serial_payloads
 
     def test_empty_campaign(self):
-        assert run_process_fleet(
-            [], {}, campaign="empty", workers=2, max_vectors=MAX_VECTORS
+        assert run_fleet(
+            "processes", [], {}, campaign="empty", workers=2,
+            max_vectors=MAX_VECTORS,
         ) == {}
 
     def test_unknown_mode_refused(self):
@@ -92,21 +95,36 @@ class TestWorkerDeath:
         assert telemetry.counter("fleet.reshard_count").value >= 1
 
 
+class TestFingerprints:
+    def test_worker_refuses_foreign_fingerprints(self, monkeypatch):
+        # The parent ships fingerprints its workers cannot match: the
+        # first worker refuses before taking a task and the pool stops.
+        monkeypatch.setattr(
+            "repro.fleet.process.fleet_fingerprints",
+            lambda: {"schema": "foreign"},
+        )
+        with pytest.raises(FingerprintMismatch, match="foreign"):
+            run_process_pool(["a1", "b1"], echo, workers=2)
+
+
 @needs_fork
 class TestDeadlinesAndRetries:
+    """The pool's failure model, driven through a stand-in for the
+    injector task (fork hands the patched function to the workers)."""
+
+    @staticmethod
+    def patch_task(monkeypatch, fake):
+        monkeypatch.setattr("repro.campaign.runner._inject_payload", fake)
+
     def test_hung_function_hits_deadline(self, monkeypatch):
-        def fake_execute(name, digest, seed, max_vectors, attempt=1, worker="",
-                         fault_models=(), sampling=None):
+        real = _inject_payload
+
+        def fake_task(name, **options):
             if name == "abs":
                 time.sleep(60.0)
-            return execute_function(
-                name, digest, seed, max_vectors, attempt, worker, fault_models,
-                sampling,
-            )
+            return real(name, **options)
 
-        monkeypatch.setattr(
-            "repro.fleet.process.execute_function", fake_execute
-        )
+        self.patch_task(monkeypatch, fake_task)
         telemetry = Telemetry()
         results = run_fleet_payloads(
             telemetry=telemetry, timeout=0.5, task_retries=0
@@ -114,43 +132,42 @@ class TestDeadlinesAndRetries:
         assert not results["abs"].ok
         assert "retry budget" in results["abs"].error
         assert all(results[n].ok for n in FUNCTIONS if n != "abs")
+        # A deadline kill is a timeout, not also a crash.
+        events = [
+            r["name"] for r in telemetry.tracer.records()
+            if r["type"] == "event"
+        ]
+        assert events.count("fleet.task_timeout") == 1
+        assert "fleet.worker_crash" not in events
 
-    def test_transient_failure_retries_on_fresh_worker(self, monkeypatch):
-        def fake_execute(name, digest, seed, max_vectors, attempt=1, worker="",
-                         fault_models=(), sampling=None):
-            if name == "abs" and attempt == 1:
-                return FunctionResult(
-                    function=name, digest=digest, status="failed",
-                    attempt=attempt, elapsed=0.0, error="transient",
-                )
-            return execute_function(
-                name, digest, seed, max_vectors, attempt, worker, fault_models,
-                sampling,
-            )
+    def test_transient_failure_retries_on_fresh_worker(
+        self, monkeypatch, tmp_path
+    ):
+        real = _inject_payload
+        first_try = tmp_path / "abs-failed-once"
 
-        monkeypatch.setattr(
-            "repro.fleet.process.execute_function", fake_execute
-        )
+        def fake_task(name, **options):
+            # The marker file is visible across worker processes, so
+            # only the very first attempt fails.
+            if name == "abs" and not first_try.exists():
+                first_try.touch()
+                raise RuntimeError("transient")
+            return real(name, **options)
+
+        self.patch_task(monkeypatch, fake_task)
         results = run_fleet_payloads(task_retries=1)
         assert results["abs"].ok
         assert results["abs"].attempts == 2
 
     def test_exhausted_retries_fail_terminally(self, monkeypatch):
-        def fake_execute(name, digest, seed, max_vectors, attempt=1, worker="",
-                         fault_models=(), sampling=None):
-            if name == "abs":
-                return FunctionResult(
-                    function=name, digest=digest, status="failed",
-                    attempt=attempt, elapsed=0.0, error="always broken",
-                )
-            return execute_function(
-                name, digest, seed, max_vectors, attempt, worker, fault_models,
-                sampling,
-            )
+        real = _inject_payload
 
-        monkeypatch.setattr(
-            "repro.fleet.process.execute_function", fake_execute
-        )
+        def fake_task(name, **options):
+            if name == "abs":
+                raise RuntimeError("always broken")
+            return real(name, **options)
+
+        self.patch_task(monkeypatch, fake_task)
         results = run_fleet_payloads(task_retries=1)
         assert not results["abs"].ok
         assert "always broken" in results["abs"].error
@@ -170,12 +187,11 @@ class TestCampaignIntegration:
         assert fleet.fleet_mode == "processes"
         assert serial.fleet_mode == "serial"
 
-    def test_thread_campaign_bit_identical_to_serial(self):
+    def test_jobs_campaign_runs_on_the_process_pool(self):
         names = ["abs", "labs", "atoi"]
         serial = CampaignRunner(names, CampaignConfig()).run()
-        fleet = CampaignRunner(
-            names, CampaignConfig(fleet="threads", workers=3)
-        ).run()
-        assert fleet.reports == serial.reports
-        assert fleet.fleet_mode == "threads"
-        assert fleet.workers == 3
+        pooled = CampaignRunner(names, CampaignConfig(jobs=2)).run()
+        assert pooled.failed == {}
+        assert list(pooled.reports) == names
+        assert pooled.reports == serial.reports
+        assert pooled.fleet_mode == "processes"
