@@ -1,6 +1,6 @@
 """Bench: the simulated-memory hot paths (COW fork + bulk C strings).
 
-Measures the three optimizations ISSUE 4 ships and exports the numbers
+Measures the simulated-memory fast paths and exports the numbers
 to ``BENCH_memory.json`` so the perf trajectory is archived by CI, not
 asserted from memory:
 
@@ -11,6 +11,9 @@ asserted from memory:
 * **cstring throughput** — slice-based ``read_cstring`` of a 64 KiB
   string against the per-byte reference scan.  Floor (asserted):
   >= 10x.
+* **format scan** — ``strftime`` over a 64 KiB literal format, the
+  bulk literal-run engine against the per-byte oracle of
+  :mod:`repro.libc.reference_formats`.  Floor (asserted): >= 10x.
 * **end-to-end injector speedup** — a real ``FaultInjector.run()``
   over a string-family sample, fast substrate vs the reference
   substrate (eager forks + per-byte scans), recorded so the e2e win
@@ -30,11 +33,13 @@ from pathlib import Path
 import pytest
 
 from repro.injector import FaultInjector
-from repro.libc import common
+from repro.libc import common, reference_formats, timefns
 from repro.libc.catalog import BY_NAME
+from repro.libc.runtime import TM_SIZE, LibcRuntime
 from repro.memory import AddressSpace
 from repro.memory import reference
 from repro.obs import export_bench_json
+from repro.sandbox.context import CallContext
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_memory.json"
 
@@ -43,10 +48,12 @@ BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_memory.json"
 #: ratio is host-independent modulo noise far below 10x.
 MIN_FORK_SPEEDUP = 10.0
 MIN_CSTRING_SPEEDUP = 10.0
+MIN_FORMAT_SPEEDUP = 10.0
 
 FORK_REGIONS = 64
 FORK_REGION_BYTES = 64 * 1024
 CSTRING_BYTES = 64 * 1024
+FORMAT_BYTES = 64 * 1024
 
 E2E_FUNCTIONS = ["strcpy", "strcmp", "strlen"]
 
@@ -106,6 +113,32 @@ def test_memory_hotpath_bench():
         "min_speedup": MIN_CSTRING_SPEEDUP,
     }
 
+    # ---------------------------------------------------- format scan
+    runtime = LibcRuntime()
+    fmt = runtime.space.alloc_cstring(b"f" * FORMAT_BYTES).base
+    tm = runtime.space.map_region(TM_SIZE).base
+    out = runtime.space.map_region(8).base
+
+    def run_strftime(model) -> tuple[int, int]:
+        # maxsize 0: the call returns 0 after the scan without writing,
+        # so the legs differ only in how they read the format.
+        ctx = CallContext(runtime)
+        return model(ctx, out, 0, fmt, tm), ctx.steps
+
+    bulk = timefns.libc_strftime
+    oracle = reference_formats.libc_strftime
+    assert run_strftime(bulk) == run_strftime(oracle)
+    format_fast = _best_of(5, lambda: run_strftime(bulk))
+    format_ref = _best_of(3, lambda: run_strftime(oracle))
+    format_speedup = format_ref / format_fast if format_fast else float("inf")
+    payload["format_scan"] = {
+        "format_bytes": FORMAT_BYTES,
+        "fast_seconds": round(format_fast, 6),
+        "per_byte_seconds": round(format_ref, 6),
+        "speedup": round(format_speedup, 1),
+        "min_speedup": MIN_FORMAT_SPEEDUP,
+    }
+
     # ---------------------------------------------------- end to end
     def run_catalog() -> None:
         for name in E2E_FUNCTIONS:
@@ -146,6 +179,12 @@ def test_memory_hotpath_bench():
         f"bulk cstring scan only {cstring_speedup:.1f}x over per-byte "
         f"(fast {fast_seconds:.6f}s vs per-byte {ref_seconds:.6f}s); "
         f"floor is {MIN_CSTRING_SPEEDUP:.0f}x"
+    )
+
+    assert format_speedup >= MIN_FORMAT_SPEEDUP, (
+        f"bulk strftime format scan only {format_speedup:.1f}x over per-byte "
+        f"(fast {format_fast:.6f}s vs per-byte {format_ref:.6f}s); "
+        f"floor is {MIN_FORMAT_SPEEDUP:.0f}x"
     )
 
 

@@ -56,6 +56,30 @@ def read_cstring(ctx: CallContext, address: int, limit: int | None = None) -> by
     return payload
 
 
+_PERCENT = ord("%")
+
+
+def read_literal_run(ctx: CallContext, address: int) -> bytes:
+    """Consume a format string's literal bytes up to, not including,
+    the next ``%`` or NUL, which the caller then reads itself with
+    :func:`read_byte` — the ``strchrnul`` shape of glibc's vfprintf.
+
+    Accounting matches one :func:`read_byte` per literal byte, as
+    :func:`read_cstring` does: ``len(run)`` steps, plus the step
+    before a faulting load, with a Hang raised before the fault.  The
+    scan stops where the watchdog would, so ``bytes_read`` never counts
+    a byte the per-byte loop would not have loaded.
+    """
+    hang_at = max(0, ctx.step_budget - ctx.steps)
+    payload, stopped, fault = ctx.mem.scan_cstring(address, hang_at, _PERCENT)
+    # Unstopped means a fault or the watchdog limit: either way the
+    # per-byte loop steps once more before its next load.
+    ctx.account(len(payload) + (0 if stopped else 1))
+    if fault is not None:
+        raise fault
+    return payload
+
+
 def write_cstring(ctx: CallContext, address: int, value: bytes) -> None:
     """Bulk write of ``value`` + NUL with per-byte-equivalent
     semantics: the successfully written prefix stays visible, faults

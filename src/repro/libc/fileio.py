@@ -527,12 +527,15 @@ def _format(ctx: CallContext, fmt: int, args: tuple) -> bytes:
         return b" " * (width - len(piece)) + piece
 
     while True:
+        run = common.read_literal_run(ctx, cursor)
+        out += run
+        cursor += len(run)
         byte = common.read_byte(ctx, cursor)
         if byte == 0:
             break
         cursor += 1
         if byte != ord("%"):
-            out.append(byte)
+            out.append(byte)  # a signal handler rewrote the stop byte
             continue
         spec = common.read_byte(ctx, cursor)
         cursor += 1
@@ -613,6 +616,7 @@ def libc_fscanf(ctx: CallContext, fp: int, fmt: int, *args: int) -> int:
         return bytes(token)
 
     while True:
+        cursor += len(common.read_literal_run(ctx, cursor))
         byte = common.read_byte(ctx, cursor)
         if byte == 0:
             break

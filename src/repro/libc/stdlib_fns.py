@@ -62,8 +62,13 @@ def _parse_integer(
     if byte in (ord("+"), ord("-")):
         sign = -1 if byte == ord("-") else 1
         cursor += 1
+    # A prefix "0" (octal, or the 0 of "0x") is itself a digit: with no
+    # valid digit after it the parse ends just past that 0, as glibc's
+    # endptr does for "0x" in base 16 or "0b1" in base 0.
+    zero_end = None
     if base == 0:
         if common.read_byte(ctx, cursor) == ord("0"):
+            zero_end = cursor + 1
             nxt = common.read_byte(ctx, cursor + 1)
             if nxt in (ord("x"), ord("X")):
                 base = 16
@@ -74,12 +79,12 @@ def _parse_integer(
         else:
             base = 10
     elif base == 16 and common.read_byte(ctx, cursor) == ord("0"):
+        zero_end = cursor + 1
         nxt = common.read_byte(ctx, cursor + 1)
         if nxt in (ord("x"), ord("X")):
             cursor += 2
     value = 0
     digits = False
-    start = cursor
     while True:
         byte = common.read_byte(ctx, cursor)
         char = chr(byte).lower()
@@ -94,8 +99,9 @@ def _parse_integer(
         value = value * base + digit
         digits = True
         cursor += 1
-    end = cursor if digits else start
-    return sign * value, end, digits
+    if not digits and zero_end is not None:
+        return 0, zero_end, True
+    return sign * value, cursor, digits
 
 
 def libc_strtol(ctx: CallContext, nptr: int, endptr: int, base: int) -> int:

@@ -166,12 +166,15 @@ def libc_strftime(ctx: CallContext, s: int, maxsize: int, fmt: int, tm: int) -> 
     out = bytearray()
     cursor = fmt
     while True:
+        run = common.read_literal_run(ctx, cursor)
+        out += run
+        cursor += len(run)
         byte = common.read_byte(ctx, cursor)
         if byte == 0:
             break
         cursor += 1
         if byte != ord("%"):
-            out.append(byte)
+            out.append(byte)  # a signal handler rewrote the stop byte
             continue
         spec = common.read_byte(ctx, cursor)
         cursor += 1

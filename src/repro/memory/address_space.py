@@ -322,7 +322,7 @@ class AddressSpace:
     # C string helpers (bulk fast paths)
     # ------------------------------------------------------------------
     def scan_cstring(
-        self, address: int, limit: int | None = None
+        self, address: int, limit: int | None = None, stop: int | None = None
     ) -> tuple[bytes, bool, Optional[SegmentationFault]]:
         """Core NUL scan: ``(payload, terminated, fault)``.
 
@@ -337,9 +337,17 @@ class AddressSpace:
           raise after successfully reading ``len(payload)`` bytes —
           same address, same reason.
 
+        With a ``stop`` byte the scan is ``strchrnul``-shaped: it halts
+        *before* the first NUL or ``stop`` byte and consumes neither,
+        so ``terminated`` means one of them is next and ``bytes_read``
+        counts only the payload.  The format engines use this to take a
+        whole literal run at once and then read the ``%``/NUL byte
+        themselves.  Each call reads the live region, so a store made
+        between two scans (a ``%n``) is seen by the next one.
+
         Callers layer their own accounting on top: the address-space
-        wrappers raise the fault directly; the libc helper in
-        :mod:`repro.libc.common` first charges watchdog steps so hang
+        wrappers raise the fault directly; the libc helpers in
+        :mod:`repro.libc.common` first charge watchdog steps so hang
         detection also matches the per-byte reference.
         """
         out = bytearray()
@@ -363,13 +371,23 @@ class AddressSpace:
             window_end = region.size
             if remaining is not None:
                 window_end = min(window_end, offset + remaining)
-            nul = region.data.find(0, offset, window_end)
-            self.access_count += 1
+            data = region.data
+            end = window_end
+            if stop is not None:
+                # Stop byte first: the NUL search is then bounded by it,
+                # so k conversions cost O(n), not O(k * n).
+                hit = data.find(stop, offset, end)
+                if hit >= 0:
+                    end = hit
+            nul = data.find(0, offset, end)
             if nul >= 0:
-                out += region.data[offset:nul]
-                self.bytes_read += nul - offset + 1
+                end = nul
+            self.access_count += 1
+            out += data[offset:end]
+            if end < window_end:
+                # Stopped at a NUL or stop byte; only a NUL scan reads it.
+                self.bytes_read += end - offset + (1 if stop is None else 0)
                 return bytes(out), True, None
-            out += region.data[offset:window_end]
             consumed = window_end - offset
             self.bytes_read += consumed
             cursor += consumed

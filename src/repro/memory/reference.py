@@ -61,14 +61,20 @@ def read_cstring_ref(
 
 
 def scan_cstring_ref(
-    space: AddressSpace, address: int, limit: int | None = None
+    space: AddressSpace, address: int, limit: int | None = None,
+    stop: int | None = None,
 ) -> tuple[bytes, bool, Optional[SegmentationFault]]:
     """Per-byte scan reported in the ``scan_cstring`` result shape, so
     the fuzz test can compare payload, termination and fault fields
-    directly against the fast path."""
+    directly against the fast path.  With ``stop``, the NUL or stop
+    byte that ends the scan is peeked, not loaded: the fast path leaves
+    it unread for the caller."""
     out = bytearray()
     cursor = address
     while limit is None or len(out) < limit:
+        if stop is not None and space.is_readable(cursor, 1):
+            if space.region_at(cursor).peek(cursor, 1)[0] in (0, stop):
+                return bytes(out), True, None
         try:
             byte = space.load(cursor, 1)[0]
         except SegmentationFault as fault:

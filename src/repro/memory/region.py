@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 from repro.memory.faults import AccessKind, SegmentationFault
 
 
+_READ = AccessKind.READ
+_WRITE = AccessKind.WRITE
+
+
 class Protection(enum.Flag):
     """Page protection bits, mirroring ``PROT_READ``/``PROT_WRITE``."""
 
@@ -23,19 +27,14 @@ class Protection(enum.Flag):
     RW = READ | WRITE
 
     def allows(self, access: AccessKind) -> bool:
-        # Memoized: enum.Flag's ``&`` costs microseconds and this runs
-        # once per simulated byte access — the injection hot loop.
-        try:
-            return _ALLOWS[(self, access)]
-        except KeyError:
-            if access is AccessKind.READ:
-                allowed = bool(self & Protection.READ)
-            elif access is AccessKind.WRITE:
-                allowed = bool(self & Protection.WRITE)
-            else:
-                allowed = False
-            _ALLOWS[(self, access)] = allowed
-            return allowed
+        # Identity checks and per-member flags only: enum.Flag's ``&``
+        # and enum hashing both run Python-level code, and this runs
+        # on every checked access — the injection hot loop.
+        if access is _READ:
+            return self._readable
+        if access is _WRITE:
+            return self._writable
+        return False
 
     def describe(self) -> str:
         r = "r" if self & Protection.READ else "-"
@@ -43,8 +42,12 @@ class Protection(enum.Flag):
         return r + w
 
 
-#: (protection, access) -> allowed; tiny and bounded (4 x 3 members).
-_ALLOWS: dict[tuple["Protection", AccessKind], bool] = {}
+# Every Protection value is a named member (all four bit patterns are
+# named), so per-member answers cover every instance.
+for _member in Protection.__members__.values():
+    _member._readable = bool(_member & Protection.READ)
+    _member._writable = bool(_member & Protection.WRITE)
+del _member
 
 
 class RegionKind(enum.Enum):

@@ -252,6 +252,27 @@ class TestFuzzEquivalence:
                         round_, address, limit,
                     )
 
+    def test_stop_scan_matches_reference_and_leaves_stop_unread(self):
+        rng = random.Random(2468)
+        for round_ in range(30):
+            space = build_fuzz_space(rng)
+            for region in space.regions():
+                if region.size and not region.freed and rng.random() < 0.5:
+                    cut = rng.randrange(region.size)
+                    region.data[cut] = ord("%")
+            for address in fuzz_addresses(space, rng):
+                for limit in (None, 0, 1, 5, 4096):
+                    before = space.bytes_read
+                    fast = space.scan_cstring(address, limit, ord("%"))
+                    fast_read = space.bytes_read - before
+                    before = space.bytes_read
+                    ref = reference.scan_cstring_ref(space, address, limit, ord("%"))
+                    ref_read = space.bytes_read - before
+                    where = (round_, address, limit)
+                    assert fast[:2] == ref[:2], where
+                    assert fault_key(fast[2]) == fault_key(ref[2]), where
+                    assert fast_read == ref_read == len(fast[0]), where
+
     def test_read_cstring_raises_identically(self):
         rng = random.Random(99)
         for _ in range(20):
